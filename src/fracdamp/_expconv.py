@@ -13,6 +13,11 @@ node-quadrature path keeps |w| <= 8 by substepping instead.
 Kernels are lists of genuine complex-exponential terms (weight, rate, power)
 meaning weight * tau^power * exp(rate*tau); oscillatory kernels appear as
 conjugate pairs so that sums come out real up to roundoff.
+
+convolve_pieces evaluates one window at a time and serves point
+evaluations; window_increments evaluates the same closed forms for every
+(window, piece) pair of a whole grid and many modes in one array pass, which
+is what the Duhamel grid stepper uses.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .charpoly import CharRoots, Regime
 from .errors import AccuracyWarning
-from .forcing import Piece, poly_compose_affine
+from .forcing import Piece, poly_compose_affine, poly_compose_affine_rows
 
 _SERIES_RADIUS = 8.0
 MAX_RECURRENCE_K = 6
@@ -65,6 +70,47 @@ def _moments_recurrence(w: complex, kmax: int) -> list:
     for k in range(1, kmax + 1):
         out[k] = (ew - k * out[k - 1]) / w
     return out
+
+
+def exp_poly_moments_array(w, kmax: int) -> np.ndarray:
+    """exp_poly_moments for every entry of the array w: shape (w.size, kmax + 1).
+
+    Each entry takes the branch the scalar routine would take, chosen by the
+    mask |w| <= 8.
+    """
+    w = np.asarray(w, dtype=complex).ravel()
+    out = np.empty((w.size, kmax + 1), dtype=complex)
+    near = np.abs(w) <= _SERIES_RADIUS
+    out[near] = _moments_series_array(w[near], kmax)
+    far = ~near
+    if far.any():
+        if kmax > MAX_RECURRENCE_K:
+            raise ValueError(
+                f"moment recurrence limited to k <= {MAX_RECURRENCE_K}; substep to reach |w| <= 8"
+            )
+        w_far = w[far]
+        ew = np.exp(w_far)
+        mom = (ew - 1.0) / w_far
+        out[far, 0] = mom
+        for k in range(1, kmax + 1):
+            mom = (ew - k * mom) / w_far
+            out[far, k] = mom
+    return out
+
+
+def _moments_series_array(w: np.ndarray, kmax: int) -> np.ndarray:
+    # the scalar series, summed over as many terms as the largest |w| needs;
+    # for smaller |w| the extra terms lie below the 1e-18 cut-off
+    r = float(np.max(np.abs(w), initial=0.0))
+    n, term = 1, r  # n terms w^0/0! .. w^(n-1)/(n-1)!; term = r^n/n!
+    while n <= 80 and (n < 3 or term >= 1e-18):
+        n += 1
+        term *= r / n
+    terms = np.empty((n, w.size), dtype=complex)  # w^j / j!
+    terms[0] = 1.0
+    for j in range(1, n):
+        terms[j] = terms[j - 1] * (w / j)
+    return terms.T @ (1.0 / (np.arange(n)[:, None] + np.arange(kmax + 1) + 1.0))
 
 
 def kernel_components(r: CharRoots) -> tuple[tuple, tuple]:
@@ -154,6 +200,125 @@ def convolve_pieces(components, pieces, T: float, t0: float = 0.0) -> float:
         for wgt, z, pw in components:
             total += _piece_component_integral(wgt, z, pw, piece, T, lo, hi)
     return total.real
+
+
+# ---------------------------------------------------------------------------
+# Batched window increments of many modes on one grid
+
+_BLOCK_ROWS = 1 << 15
+
+
+def _basis_terms(g, gp):
+    """Distinct (rate, power) pairs of a mode's kernels with their g and g' weights.
+
+    g and g' share their exponential rates in every regime, so each
+    integral tau^pw e^{z tau} is evaluated once and feeds both u and u'.
+    """
+    index: dict = {}
+    for target, comps in enumerate((g, gp)):
+        for wgt, z, pw in comps:
+            index.setdefault((complex(z), pw), [0.0j, 0.0j])[target] += wgt
+    return [(z, pw, wu, wp) for (z, pw), (wu, wp) in index.items()]
+
+
+def window_increments(kernels, piece_lists, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Duhamel increments of K modes over consecutive windows.
+
+    ``kernels[k]`` is the (g, g') pair of mode k from kernel_components,
+    ``piece_lists[k]`` its forcing pieces, and window i is
+    [edges[i], edges[i+1]].  Returns (du, dup) of shape (len(edges) - 1, K):
+
+        du[i, k] = int_{edges[i]}^{edges[i+1]} g_k(edges[i+1] - s) f_k(s) ds
+
+    and likewise dup with g'.  Each piece overlaps a contiguous run of
+    windows, found by binary search, so the work is O(grid + pieces) per mode
+    rather than grid x pieces.  Every overlapping (window, piece, carrier,
+    kernel term) row is then integrated in one array pass with the formula
+    of convolve_pieces, and the rows are summed per (window, mode).
+    """
+    edges = np.asarray(edges, dtype=float)
+    n_win, K = edges.size - 1, len(kernels)
+    du = np.zeros(n_win * K)
+    dup = np.zeros(n_win * K)
+    # flat carrier rows: one per piece with omega = 0, two (e^{-i omega x}
+    # and its conjugate) otherwise
+    rows = [
+        (k, pc, sign)
+        for k, pieces in enumerate(piece_lists)
+        for pc in pieces
+        for sign in ((0.0,) if pc.omega == 0.0 else (-1.0, 1.0))
+    ]
+    if not rows:
+        return du.reshape(n_win, K), dup.reshape(n_win, K)
+    mode = np.array([k for k, _, _ in rows])
+    sign = np.array([sg for _, _, sg in rows])
+    start, stop, omega, phase = (
+        np.array([getattr(pc, name) for _, pc, _ in rows], dtype=float)
+        for name in ("start", "stop", "omega", "phase")
+    )
+    n_coef = max(len(pc.coeffs) for _, pc, _ in rows)
+    coeffs = np.zeros((len(rows), n_coef))
+    for j, (_, pc, _) in enumerate(rows):
+        coeffs[j, : len(pc.coeffs)] = pc.coeffs
+
+    # kernel terms, padded to a common count with zero weights
+    basis = [_basis_terms(g, gp) for g, gp in kernels]
+    n_terms = max(len(b) for b in basis)
+    z_k = np.zeros((K, n_terms), dtype=complex)
+    pw_k = np.zeros((K, n_terms), dtype=int)
+    wu_k = np.zeros((K, n_terms), dtype=complex)
+    wp_k = np.zeros((K, n_terms), dtype=complex)
+    for k, terms in enumerate(basis):
+        for j, (z, pw, wu, wp) in enumerate(terms):
+            z_k[k, j], pw_k[k, j], wu_k[k, j], wp_k[k, j] = z, pw, wu, wp
+    kmax = n_coef - 1 + int(pw_k.max())
+
+    # windows overlapping each carrier row: first i with edges[i+1] > start,
+    # up to the last i with edges[i] < stop
+    first = np.searchsorted(edges[1:], start, side="right")
+    count = np.maximum(np.searchsorted(edges[:-1], stop, side="left") - first, 0)
+    row = np.repeat(np.arange(len(rows)), count)
+    win = first[row] + np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+
+    for s in range(0, row.size, _BLOCK_ROWS):
+        r, i = row[s : s + _BLOCK_ROWS], win[s : s + _BLOCK_ROWS]
+        k = mode[r]
+        T = edges[i + 1]
+        lo = np.maximum(start[r], edges[i])
+        hi = np.minimum(stop[r], T)
+        tau_a = T - hi
+        L = (T - lo) - tau_a
+        c = hi - start[r]  # local coordinate of s = hi in the piece
+        # forcing polynomial in x = tau - tau_a: p(c - x), then times
+        # (tau_a + x) for the power-1 terms
+        q = poly_compose_affine_rows(coeffs[r], c, -1.0)
+        if kmax == n_coef - 1:  # no power-1 kernel terms
+            qk = q[:, None, :]
+        else:
+            q0 = np.concatenate([q, np.zeros((r.size, 1))], axis=1)
+            q1 = tau_a[:, None] * q0
+            q1[:, 1:] += q
+            qk = np.where(pw_k[k][:, :, None] == 1, q1[:, None, :], q0[:, None, :])
+        # carrier cos(psi - omega x) = sum of camp * exp(zeta x) over its rows
+        psi = omega[r] * c + phase[r]
+        camp = np.where(sign[r] == 0.0, np.cos(psi), 0.5 * np.exp(-1j * sign[r] * psi))
+        zeta = 1j * sign[r] * omega[r]
+        z = z_k[k]
+        w = (z + zeta[:, None]) * L[:, None]
+        mom = exp_poly_moments_array(w, kmax).reshape(w.shape + (kmax + 1,))
+        acc = np.zeros(w.shape, dtype=complex)
+        scale = np.ones(r.size)
+        for j in range(kmax + 1):
+            acc += (qk[:, :, j] * scale[:, None]) * mom[:, :, j]
+            scale = scale * L
+        # Re z <= 0 and tau_a >= 0: exp underflows to 0 where convolve_pieces
+        # skips the row
+        pref = np.exp(z * tau_a[:, None]) * L[:, None]
+        val = camp[:, None] * acc
+        slot = i * K + k
+        du += np.bincount(slot, ((wu_k[k] * pref) * val).real.sum(axis=1), n_win * K)
+        dup += np.bincount(slot, ((wp_k[k] * pref) * val).real.sum(axis=1), n_win * K)
+    return du.reshape(n_win, K), dup.reshape(n_win, K)
 
 
 def periodic_convolve(components, base_pieces, T0: float, t: float) -> float:

@@ -26,7 +26,10 @@ from .recipes import recipes
 def _add_common(sub):
     sub.add_argument("--config", help="experiment config file (INI)")
     sub.add_argument("--out", help="output directory (overrides config)")
-    sub.add_argument("--threads", type=int, help="worker threads for mode sweeps")
+    sub.add_argument(
+        "--threads", type=int,
+        help="worker threads for homogeneous mode sweeps (forced sweeps are not threaded)",
+    )
     sub.add_argument("--seed", type=int, help="seed for randomized trials")
 
 
@@ -82,6 +85,23 @@ def _config_from_args(args, kind: str) -> ExperimentConfig:
     return replace(cfg, **overrides).validate()
 
 
+_EXIT_CODES = (
+    ((ValidationError,), 2, "validation error"),
+    ((CertificationError, ConstructionError), 3, "certification failure"),
+    ((OracleFailure, OracleRefusal), 4, "oracle failure"),
+)
+_HANDLED = sum((types for types, _, _ in _EXIT_CODES), ())
+
+
+def _report(exc: Exception) -> int:
+    """Print a documented failure and return its exit code."""
+    for types, code, label in _EXIT_CODES:
+        if isinstance(exc, types):
+            print(f"{label}: {exc}", file=sys.stderr)
+            return code
+    raise exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -100,15 +120,8 @@ def main(argv=None) -> int:
         for p in paths:
             print(p)
         return 0
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except (CertificationError, ConstructionError) as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return 3
-    except (OracleFailure, OracleRefusal) as exc:
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return 4
+    except _HANDLED as exc:
+        return _report(exc)
 
 
 def _recipes_command(args) -> int:
@@ -138,9 +151,10 @@ def _recipes_command(args) -> int:
             cfg = replace(cfg, out_dir=args.out)
         try:
             run_cfg(cfg, out_dir=f"{cfg.out_dir}/{name}")
-        except CertificationError as exc:
-            print(f"certification failure: {exc}", file=sys.stderr)
-            status = 3
+        except _HANDLED as exc:
+            # later recipes still run; the first failure sets the exit code
+            code = _report(exc)
+            status = status or code
     return status
 
 

@@ -82,6 +82,8 @@ class ExperimentConfig:
             fail("experiment.kind", f"must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if self.kind == "acceptance" and not self.recipe:
             fail("experiment.recipe", "acceptance runs need a recipe name")
+        if self.seed < 0:
+            fail("experiment.seed", "must be >= 0")
         if self.threads < 1:
             fail("experiment.threads", "must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
@@ -122,6 +124,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 fail(f"probe.{name}", "must lie strictly between 0 and 1")
+        if not 0.0 < self.diverge_slack <= 1.0:
+            fail("probe.diverge_slack", "must lie in (0, 1]")
         return self
 
     def t_grid(self) -> np.ndarray:

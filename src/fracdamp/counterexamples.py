@@ -279,8 +279,15 @@ def window_shift_force(
     eps = tau / 4.5
     best = 0.0
     for _ in range(max_halvings):
-        g = triple.window_forcing(lam, T, ramp=eps)
-        u, up = forced_mode_at(r, g, T)
+        try:
+            g = triple.window_forcing(lam, T, ramp=eps)
+            u, up = forced_mode_at(r, g, T)
+        except ValidationError as exc:
+            # the window and ramp ends are rounded at the magnitude of T, so
+            # a pulse near that time resolution cannot hold its ramps
+            raise PreconditionError(
+                f"pulse length tau = {tau:.3e} is below the time resolution at T = {T}: {exc}"
+            ) from exc
         f0 = lam**triple.sigma0 * abs(u)
         f1 = lam**triple.sigma1 * abs(up)
         best = max(best, min(f0 / (0.5 * triple.c0), f1 / (0.5 * triple.c1)))

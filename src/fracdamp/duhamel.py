@@ -29,6 +29,7 @@ from ._expconv import (
     convolve_pieces,
     kernel_components,
     periodic_convolve,
+    window_increments,
 )
 from .charpoly import CharRoots, DampingParams, Regime, roots
 from .errors import RegimeMismatchError, ValidationError
@@ -36,6 +37,8 @@ from .forcing import ForcingSpec
 from .propagator import ModeIC, homogeneous_mode
 
 _EXPM1_SERIES_CUT = 1e-3
+_UNIT_POSITION = ModeIC(1.0, 0.0)
+_UNIT_VELOCITY = ModeIC(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -130,47 +133,15 @@ def duhamel_quadrature(
     t_grid,
     tol: float = 1e-10,
 ) -> ModeTrajectory:
-    """Null-data forced trajectory on a time grid, cost linear in grid size.
+    """Null-data forced trajectory of one mode on a time grid.
 
-    Advances step by step: the state at t_i propagates homogeneously across
-    [t_i, t_{i+1}] and picks up the local Duhamel increment of that window,
-    so earlier forcing history is never re-integrated.  Piecewise-analytic
-    forcings integrate exactly (polynomial-times-exponential closed forms);
-    callable forcings go through node quadrature with per-step refinement
-    against ``tol``.
+    The one-mode case of the batched stepper behind forced_solve: the cost
+    is O(grid + pieces).  Piecewise-analytic forcings integrate exactly
+    (polynomial-times-exponential closed forms); callable forcings go
+    through node quadrature with per-step refinement against ``tol``.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValidationError("t_grid must be a nonempty 1-D array")
-    if t_grid[0] < 0.0 or np.any(np.diff(t_grid) <= 0.0):
-        raise ValidationError("t_grid must be nonnegative and strictly increasing")
-    pieces = mode_forcing.pieces()
-    g, gp = kernel_components(r)
-    u = np.empty(t_grid.size)
-    up = np.empty(t_grid.size)
-    err_total = 0.0
-    # reach the first grid point from t = 0
-    if pieces is not None:
-        u[0] = convolve_pieces(g, pieces, t_grid[0])
-        up[0] = convolve_pieces(gp, pieces, t_grid[0])
-    else:
-        u[0], e0 = convolve_callable(g, mode_forcing, mode_forcing.breakpoints(), t_grid[0], tol=tol)
-        up[0], e1 = convolve_callable(gp, mode_forcing, mode_forcing.breakpoints(), t_grid[0], tol=tol)
-        err_total += e0 + e1
-    for i in range(1, t_grid.size):
-        a, b = float(t_grid[i - 1]), float(t_grid[i])
-        hu, hup = homogeneous_mode(r, ModeIC(float(u[i - 1]), float(up[i - 1])), b - a)
-        if pieces is not None:
-            du = convolve_pieces(g, pieces, b, t0=a)
-            dup = convolve_pieces(gp, pieces, b, t0=a)
-        else:
-            brk = mode_forcing.breakpoints()
-            du, e0 = convolve_callable(g, mode_forcing, brk, b, t0=a, tol=tol)
-            dup, e1 = convolve_callable(gp, mode_forcing, brk, b, t0=a, tol=tol)
-            err_total += e0 + e1
-        u[i] = hu + du
-        up[i] = hup + dup
-    return ModeTrajectory(t_grid, u, up, error_estimate=err_total)
+    u, up, err = _step_modes([r], [mode_forcing], t_grid, tol)
+    return ModeTrajectory(np.asarray(t_grid, dtype=float), u[:, 0], up[:, 0], error_estimate=float(err[0]))
 
 
 def forced_solve(
@@ -180,20 +151,64 @@ def forced_solve(
     t_grid,
     tol: float = 1e-10,
 ):
-    """Mode sweep of duhamel_quadrature across a whole ForcingSpec."""
+    """Null-data forced trajectories of every mode of a ForcingSpec on a grid."""
     from .propagator import Trajectory
 
     if spec.K != m.K:
         raise ValidationError(f"forcing has {spec.K} modes but spectrum has {m.K}")
+    rs = [roots(p, float(lam)) for lam in m.eigenvalues]
+    u, up, _ = _step_modes(rs, spec.modes, t_grid, tol)
+    return Trajectory(np.asarray(t_grid, dtype=float), spec.scale * u, spec.scale * up)
+
+
+def _step_modes(rs, mode_forcings, t_grid, tol: float):
+    """(u, u', per-mode error estimate) with null data, all modes at once.
+
+    Advances step by step: the state at t_{i-1} propagates homogeneously
+    across [t_{i-1}, t_i] and picks up the local Duhamel increment of that
+    window, so earlier forcing history is never re-integrated.  The
+    increments of every step come first (one array pass for piecewise
+    forcings, node quadrature mode by mode for callables); then one loop over
+    the grid advances all modes with the exact 2x2 propagator of each
+    distinct step length.  Shapes are (grid, K).
+    """
     t_grid = np.asarray(t_grid, dtype=float)
-    u = np.empty((t_grid.size, m.K))
-    up = np.empty((t_grid.size, m.K))
-    for k in range(m.K):
-        rk = roots(p, float(m.eigenvalues[k]))
-        traj = duhamel_quadrature(rk, spec.mode(k), t_grid, tol=tol)
-        u[:, k] = spec.scale * traj.u
-        up[:, k] = spec.scale * traj.uprime
-    return Trajectory(t_grid, u, up)
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValidationError("t_grid must be a nonempty 1-D array")
+    if t_grid[0] < 0.0 or np.any(np.diff(t_grid) <= 0.0):
+        raise ValidationError("t_grid must be nonnegative and strictly increasing")
+    K = len(rs)
+    # window 0 reaches the first grid point from t = 0
+    edges = np.concatenate(([0.0], t_grid))
+    kernels = [kernel_components(r) for r in rs]
+    pieces = [f.pieces() for f in mode_forcings]
+    # state[i, k] = (u, u') of mode k at t_i, first holding the increments
+    state = np.zeros((t_grid.size, K, 2))
+    exact = [k for k in range(K) if pieces[k] is not None]
+    if exact:
+        state[:, exact, 0], state[:, exact, 1] = window_increments(
+            [kernels[k] for k in exact], [pieces[k] for k in exact], edges
+        )
+    err = np.zeros(K)
+    for k, f in enumerate(mode_forcings):
+        if pieces[k] is not None:
+            continue
+        (g, gp), brk = kernels[k], f.breakpoints()
+        for i in range(t_grid.size):
+            a, b = float(edges[i]), float(edges[i + 1])
+            state[i, k, 0], e0 = convolve_callable(g, f, brk, b, t0=a, tol=tol)
+            state[i, k, 1], e1 = convolve_callable(gp, f, brk, b, t0=a, tol=tol)
+            err[k] += e0 + e1
+
+    lengths, which = np.unique(np.diff(t_grid), return_inverse=True)
+    prop = np.empty((lengths.size, K, 2, 2))
+    for j, h in enumerate(lengths):
+        for k, r in enumerate(rs):
+            prop[j, k, :, 0] = homogeneous_mode(r, _UNIT_POSITION, float(h))
+            prop[j, k, :, 1] = homogeneous_mode(r, _UNIT_VELOCITY, float(h))
+    for i in range(1, t_grid.size):
+        state[i] += (prop[which[i - 1]] @ state[i - 1, :, :, None])[..., 0]
+    return state[..., 0], state[..., 1], err
 
 
 def line_bounded_mode(r: CharRoots, mode_forcing, period: float, t: float) -> tuple[float, float]:

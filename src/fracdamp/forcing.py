@@ -46,6 +46,25 @@ def poly_compose_affine(coeffs, a: float, b: float) -> tuple[float, ...]:
     return tuple(out)
 
 
+def poly_compose_affine_rows(coeffs, a, b) -> np.ndarray:
+    """Row-wise poly_compose_affine: row r holds the coefficients of p_r(a_r + b_r*x).
+
+    ``coeffs`` has shape (R, n), ascending and zero-padded to a common length;
+    ``a`` and ``b`` broadcast against the R rows.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    a = np.asarray(a, dtype=float).reshape(-1, 1)
+    b = np.asarray(b, dtype=float).reshape(-1, 1)
+    out = np.zeros_like(coeffs)
+    for i in range(coeffs.shape[1] - 1, -1, -1):
+        # out := out * (a + b x) + c, truncated to n coefficients
+        new = out * a
+        new[:, 1:] += out[:, :-1] * b
+        new[:, 0] += coeffs[:, i]
+        out = new
+    return out
+
+
 @dataclass(frozen=True)
 class Piece:
     """One analytic piece: p(t-start)*cos(omega*(t-start)+phase) on [start, stop)."""

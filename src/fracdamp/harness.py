@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -168,29 +167,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str) -> list[str]:
         return _trajectory_csvs(cfg, m, traj, out_dir, None)
     rng = np.random.default_rng(cfg.seed)
     spec = build_forcing(cfg, m, rng)
-    if cfg.threads > 1:
-        traj = _forced_solve_threaded(m, p, spec, t_grid, cfg.threads)
-    else:
-        traj = forced_solve(m, p, spec, t_grid)
+    traj = forced_solve(m, p, spec, t_grid)
     return _trajectory_csvs(cfg, m, traj, out_dir, spec)
-
-
-def _forced_solve_threaded(m, p, spec, t_grid, threads) -> Trajectory:
-    from .duhamel import duhamel_quadrature
-
-    t_grid = np.asarray(t_grid, dtype=float)
-    u = np.empty((t_grid.size, m.K))
-    up = np.empty((t_grid.size, m.K))
-
-    def fill(k):
-        rk = roots(p, float(m.eigenvalues[k]))
-        traj = duhamel_quadrature(rk, spec.mode(k), t_grid)
-        u[:, k] = spec.scale * traj.u
-        up[:, k] = spec.scale * traj.uprime
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, range(m.K)))
-    return Trajectory(t_grid, u, up)
 
 
 def run_gap_scan(cfg: ExperimentConfig, out_dir: str) -> list[str]:

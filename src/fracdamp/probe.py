@@ -45,6 +45,8 @@ class ProbeConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValidationError(f"{name} must lie in (0, 1), got {v}")
+        if not 0.0 < self.diverge_slack <= 1.0:
+            raise ValidationError(f"diverge_slack must lie in (0, 1], got {self.diverge_slack}")
 
 
 class Verdict(str, Enum):

@@ -174,6 +174,22 @@ class TestAssembly:
         with pytest.raises(CapacityError):
             ce.assemble_disjoint(p, m, (0.5,), [np.arange(12)], modes_per_target=16)
 
+    def test_pulses_below_time_resolution_are_skipped(self):
+        # at lam ~ 4e31 the pulse length (~1.6e-16) is below the spacing of
+        # doubles near T = 0.5, so its window cannot hold the ramps; such
+        # modes are skipped like any other unusable mode
+        p = DampingParams(0.5, 1.0)
+        m = geometric_spectrum(128, 2.0, scale=2.0)
+        parts = partition_interleave(m, 2)
+        triple = ce.blowup_triple(p)
+        with pytest.raises(PreconditionError):
+            ce.window_shift_force(p, triple, 0.5 - 2e-16, 0.5, 4.056481920730334e31)
+        try:
+            spec, sched = ce.assemble_disjoint(p, m, (0.5, 1.0), parts)
+        except CapacityError:
+            return
+        assert all(len(used) >= 11 for used in sched.modes_used)
+
 
 class TestSchedule:
     def test_doubling_indices(self):

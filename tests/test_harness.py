@@ -5,8 +5,17 @@ import pytest
 
 from fracdamp.cli import main
 from fracdamp.config import ExperimentConfig, dump_config, load_config
-from fracdamp.errors import ValidationError
+from fracdamp.errors import (
+    CapacityError,
+    CertificationError,
+    ConstructionError,
+    OracleFailure,
+    OracleRefusal,
+    PreconditionError,
+    ValidationError,
+)
 from fracdamp.harness import build_spectrum, fmt, run, write_csv
+from fracdamp.probe import ProbeConfig
 from fracdamp.recipes import ACCEPTANCE_BY_NAME, recipes
 
 
@@ -60,6 +69,15 @@ class TestConfig:
         path = _write(tmp_path, "[grids]\nt_scale = cubic\n")
         with pytest.raises(ValidationError, match="grids.t_scale"):
             load_config(path)
+
+    def test_diverge_slack_must_be_a_fraction(self, tmp_path):
+        path = _write(tmp_path, "[probe]\ndiverge_slack = 7\n")
+        with pytest.raises(ValidationError, match="diverge_slack"):
+            load_config(path)
+        for bad in (0.0, 7.0):
+            with pytest.raises(ValidationError, match="diverge_slack"):
+                ProbeConfig(diverge_slack=bad)
+        assert ProbeConfig(diverge_slack=1.0).diverge_slack == 1.0
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = _write(tmp_path, "[experiment]\nkind = verify\ncolor = red\n")
@@ -229,6 +247,50 @@ class TestCli:
     def test_unknown_recipe_is_validation_error(self):
         assert main(["recipes", "--run", "AC99-nope"]) == 2
 
+    def test_negative_seed_exits_validation(self, tmp_path, capsys):
+        rc = main(["simulate", "--forced", "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "validation error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc,code,label",
+        [
+            (ValidationError("bad"), 2, "validation error"),
+            (PreconditionError("bad"), 2, "validation error"),
+            (CertificationError("bad"), 3, "certification failure"),
+            (ConstructionError("bad"), 3, "certification failure"),
+            (CapacityError("bad"), 3, "certification failure"),
+            (OracleFailure("bad"), 4, "oracle failure"),
+            (OracleRefusal("bad"), 4, "oracle failure"),
+        ],
+    )
+    def test_recipe_errors_keep_exit_codes(self, tmp_path, capsys, monkeypatch, exc, code, label):
+        def broken():
+            raise exc
+
+        monkeypatch.setitem(ACCEPTANCE_BY_NAME, "AC8-resonance-limit", broken)
+        rc = main(["recipes", "--run", "AC8-resonance-limit", "--out", str(tmp_path / "acc")])
+        assert rc == code
+        assert f"{label}: bad" in capsys.readouterr().err
+
+    def test_recipes_all_runs_past_a_failure(self, tmp_path, capsys, monkeypatch):
+        cheap = ACCEPTANCE_BY_NAME["AC1-root-correctness"]
+        for name in ACCEPTANCE_BY_NAME:
+            monkeypatch.setitem(ACCEPTANCE_BY_NAME, name, cheap)
+
+        def broken(exc):
+            def recipe():
+                raise exc
+
+            return recipe
+
+        monkeypatch.setitem(ACCEPTANCE_BY_NAME, "AC3-oracle-equivalence", broken(OracleFailure("bad")))
+        monkeypatch.setitem(ACCEPTANCE_BY_NAME, "AC5-derivative-gap", broken(ConstructionError("worse")))
+        assert main(["recipes", "--all", "--out", str(tmp_path / "all")]) == 4
+        err = capsys.readouterr().err
+        assert "oracle failure: bad" in err and "certification failure: worse" in err
+        assert (tmp_path / "all" / "AC9-counterexample-certificates" / "manifest.txt").exists()
+
     def test_capacity_failure_exits_certification(self, tmp_path, capsys):
         cfg = tmp_path / "ce.cfg"
         cfg.write_text(
@@ -245,3 +307,10 @@ def test_write_csv_is_ascii_lf(tmp_path):
     raw = open(path, "rb").read()
     assert b"\r" not in raw
     assert raw.decode("ascii") == "a,b\n1.5,x\n2.0,y\n"
+
+
+def test_dependency_floors_cover_the_apis_used():
+    # oracle.py needs numpy >= 2.0 and probe.py scipy >= 1.12 (pyproject.toml)
+    from scipy.integrate import cumulative_simpson
+
+    assert callable(np.trapezoid) and callable(cumulative_simpson)
